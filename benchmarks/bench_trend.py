@@ -40,8 +40,6 @@ import re
 import sys
 from pathlib import Path
 
-from meters import is_duration_meter
-
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(_REPO_ROOT / "src") not in sys.path:
     # CI invokes this script bare (no PYTHONPATH=src); the warehouse
@@ -58,6 +56,7 @@ from repro.warehouse import (  # noqa: E402 - after the path fix above
 from repro.warehouse.query import (  # noqa: E402
     DEFAULT_TOLERANCE,
     OBS_OVERHEAD_BUDGET_PCT,
+    is_duration_meter,
 )
 
 _SNAPSHOT_RE = re.compile(r"^BENCH_(\d+)\.json$")

@@ -41,8 +41,6 @@ import subprocess
 import time
 from pathlib import Path
 
-from meters import is_duration_meter
-
 from repro.evm.bytecode import Assembler
 from repro.evm.interpreter import Interpreter
 from repro.hardware.node import FireFlyNode
@@ -50,6 +48,7 @@ from repro.net.medium import Medium
 from repro.net.packet import BROADCAST, Packet
 from repro.net.topology import full_mesh
 from repro.sim.engine import Engine
+from repro.warehouse.query import is_duration_meter
 
 REPS = 5
 """Each metric is measured REPS times; the best rate is recorded."""
@@ -455,39 +454,6 @@ def bench_plant_steps(n_steps: int = 3_000) -> float:
     return _best_rate(measure)
 
 
-def _flowsheet_np_available() -> bool:
-    """True when numpy is importable and the plant grew the backend knob."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    import inspect
-
-    from repro.plant.gas_plant import NaturalGasPlant
-    return "backend" in inspect.signature(NaturalGasPlant.__init__).parameters
-
-
-def bench_flowsheet_np_steps(n_steps: int = 3_000) -> float:
-    """The same plant advance on the numpy flowsheet backend
-    (``NaturalGasPlant(backend="np")``) -- conformance-grade: the backend
-    must stay bit-identical to the scalar sweep, and this meter tracks
-    what that costs (numpy per-op dispatch is overhead-bound at
-    single-flowsheet width)."""
-    from repro.plant.gas_plant import NaturalGasPlant
-
-    plant = NaturalGasPlant(backend="np")
-    plant.enable_local_control()
-
-    def measure():
-        start = time.perf_counter()
-        for _ in range(n_steps):
-            plant.step(0.5)
-        elapsed = time.perf_counter() - start
-        return n_steps, elapsed
-
-    return _best_rate(measure)
-
-
 # ----------------------------------------------------------------------
 # Warehouse: campaign-store ingest throughput
 # ----------------------------------------------------------------------
@@ -661,19 +627,11 @@ METRICS = {
     "dist_fairshare_makespan_sec": bench_dist_fairshare_makespan,
     "warehouse_ingest_runs_per_sec": bench_warehouse_ingest,
     "plant_steps_per_sec": bench_plant_steps,
-    "flowsheet_np_steps_per_sec": bench_flowsheet_np_steps,
     "traced_events_per_sec": bench_traced_events,
     "widegrid_trial_sec": bench_widegrid_trial,
     "widegrid_256_trial_sec": bench_widegrid_256_trial,
     "widegrid_1000_trial_sec": bench_widegrid_1000_trial,
 }
-
-AVAILABILITY = {
-    "flowsheet_np_steps_per_sec": _flowsheet_np_available,
-}
-"""Meters that need an optional capability; unavailable ones are skipped
-(the trend gate tolerates meters absent from a snapshot)."""
-
 
 OBS_OVERHEAD_METERS = (
     "events_per_sec",
@@ -694,10 +652,6 @@ constrains.
 def run_all() -> dict[str, float]:
     results = {}
     for name, fn in METRICS.items():
-        gate = AVAILABILITY.get(name)
-        if gate is not None and not gate():
-            print(f"  {name:<28} {'(skipped: unavailable)':>14}")
-            continue
         value = fn()
         if is_duration_meter(name):
             results[name] = round(value, 3)
@@ -783,8 +737,7 @@ def main() -> None:
                         "dist wire meters (frame relay rate, 1000-client "
                         "connect ramp, echo latency under load, three-tenant fair-share makespan), "
                         "results-warehouse campaign-store ingest, plant "
-                        "stepping on the scalar and numpy flowsheet "
-                        "backends, trace recording, the 100/256/1000-node "
+                        "stepping, trace recording, the 100/256/1000-node "
                         "wide-grid failover trials and the repro.obs "
                         "telemetry-on overhead table "
                         "(benchmarks/hotpath.py)"),

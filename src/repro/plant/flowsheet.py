@@ -14,46 +14,20 @@ from typing import Callable
 from repro.plant.units.base import ProcessUnit
 
 
-_BACKENDS = ("auto", "py", "np")
-
-
-def _resolve_backend(backend: str) -> str:
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose one of {_BACKENDS}")
-    if backend == "np":
-        try:
-            import numpy  # noqa: F401
-        except ImportError as exc:
-            raise RuntimeError(
-                "backend='np' requires numpy (the 'fast' extra); use "
-                "backend='auto' for the pure-python kernels") from exc
-    return backend
-
-
 class Flowsheet:
     """Ordered units + named signal taps.
 
-    ``backend`` selects how the per-step unit sweep runs; every choice
-    is bit-identical (held to by the golden digests and the
-    backend-conformance tests):
-
-    - ``"py"``: the reference path -- each unit's scalar ``step()``,
-      building ``Stream``/``Composition`` objects for every hop.
-    - ``"auto"`` (default): fused pure-python kernels where a unit
-      provides one (``compile_kernel``); raw fields flow between
-      :class:`~repro.plant.ports.StreamPort` cells and streams
-      materialize only when a sensor or test asks for one.
-    - ``"np"``: the fused kernels with numpy species vectors
-      (struct-of-arrays state).  Requires numpy; at single-flowsheet
-      width (7 species) per-ufunc dispatch usually loses to the fused
-      python loops, so "auto" does not select it -- it exists as the
-      conformance anchor and for wide batched sweeps.
+    Each step sweeps the units' fused kernels
+    (:meth:`~repro.plant.units.base.ProcessUnit.compile_kernel`, see
+    :mod:`repro.plant.kernels`): raw fields flow between
+    :class:`~repro.plant.ports.StreamPort` cells and streams materialize
+    only when a sensor or test asks for one.  A unit without a kernel
+    is stepped through its scalar ``step()``, which for every unit is
+    the specification its kernel reproduces bit for bit.
     """
 
-    def __init__(self, name: str, backend: str = "auto") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.backend = _resolve_backend(backend)
         self.units: list[ProcessUnit] = []
         self._sensors: dict[str, Callable[[], float]] = {}
         self._actuators: dict[str, Callable[[float], None]] = {}
@@ -115,14 +89,9 @@ class Flowsheet:
 
     # ------------------------------------------------------------------
     def _compiled_steps(self) -> tuple[Callable[[float], None], ...]:
-        if self.backend == "py":
-            return tuple(u.step for u in self.units)
-        np_mod = None
-        if self.backend == "np":
-            import numpy as np_mod
         compiled = []
         for unit in self.units:
-            kernel = unit.compile_kernel(np_mod)
+            kernel = unit.compile_kernel()
             compiled.append(kernel if kernel is not None else unit.step)
         return tuple(compiled)
 

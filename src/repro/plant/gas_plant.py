@@ -51,9 +51,9 @@ class VaporHeader(ProcessUnit):
     def outlet(self, stream: Stream) -> None:
         self.outlet_port.set_stream(stream)
 
-    def compile_kernel(self, np):
+    def compile_kernel(self):
         from repro.plant.kernels import vapor_header_kernel
-        return vapor_header_kernel(self, np)
+        return vapor_header_kernel(self)
 
     def step(self, dt_sec: float) -> None:
         self.valve.step(dt_sec)
@@ -87,10 +87,9 @@ class NaturalGasPlant:
     LTS_LEVEL_SETPOINT = 50.0
     PLANT_DT_SEC = 0.5
 
-    def __init__(self, local_control_dt_sec: float = 0.5,
-                 backend: str = "auto") -> None:
+    def __init__(self, local_control_dt_sec: float = 0.5) -> None:
         self.local_control_dt_sec = local_control_dt_sec
-        self.flowsheet = Flowsheet("natural-gas-plant", backend=backend)
+        self.flowsheet = Flowsheet("natural-gas-plant")
         self._build_units()
         self._register_taps()
         self.loops = self._build_loops()

@@ -38,9 +38,11 @@ class StreamPort:
         """Store a materialized stream (the scalar ``step()`` path)."""
         self.stream = stream
 
-    def set_raw(self, mf: float, fr, t: float, p: float) -> None:
-        """Store raw fields from a fused kernel; ``fr`` may be a list
-        (pure-python kernels) or a numpy vector (the "np" backend)."""
+    def set_raw(self, mf: float, fr: list[float], t: float,
+                p: float) -> None:
+        """Store raw fields from a fused kernel; ``fr`` is the species
+        fraction list, adopted without a copy (kernels never mutate a
+        fraction list once they have handed it on)."""
         self.mf = mf
         self.fr = fr
         self.t = t
@@ -64,16 +66,9 @@ class StreamPort:
         """The cell's stream, materialized (and cached) on demand."""
         s = self.stream
         if s is None:
-            fr = self.fr
-            if type(fr) is list:
-                values = list(fr)
-            elif hasattr(fr, "tolist"):   # numpy vector -> python floats
-                values = fr.tolist()
-            else:
-                values = list(fr)
             s = Stream.__new__(Stream)
             s.molar_flow = float(self.mf)
-            s.composition = Composition._from_fractions(values)
+            s.composition = Composition._from_fractions(list(self.fr))
             # A tracking separator's initial empty stream carries
             # temperature None until the first feed arrives; preserve
             # it the way the scalar path does.

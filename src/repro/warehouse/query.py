@@ -35,7 +35,7 @@ OBS_OVERHEAD_BUDGET_PCT = 10.0
 
 def is_duration_meter(name: str) -> bool:
     """``*_sec`` meters improve downward, ``*_per_sec`` rates upward
-    (mirrors ``benchmarks/meters.py``, the naming convention's home)."""
+    (the meter naming convention of ``benchmarks/hotpath.py``)."""
     return name.endswith("_sec") and not name.endswith("_per_sec")
 
 
