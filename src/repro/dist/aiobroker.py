@@ -28,16 +28,15 @@ single event loop:
 
 Wire semantics are unchanged from the threaded broker -- same frame
 types, same lease/requeue/first-result-wins rules, same ``status()``
-shape -- plus the negotiated extensions from :mod:`repro.dist
-.protocol`: per-frame zlib compression toward ``"zlib"`` peers,
-``job_batch``/``result_batch`` frames toward ``"batch"`` peers, and
-per-submit scheduling weights from ``"sched"`` clients.
+shape -- plus the extensions from :mod:`repro.dist.protocol` that
+every peer speaks: size-triggered per-frame zlib compression,
+``job_batch``/``result_batch`` frames for multi-entry grant and result
+chunks, and per-submit scheduling weights.
 
 **Fair-share scheduling.**  Pending jobs live in per-campaign queues
 (one per client batch) drained by the weighted deficit-round-robin
 arbiter in :mod:`repro.dist.fairshare` rather than one global FIFO: a
-tenant's grant share tracks its declared ``weight`` (default 1;
-clients that never negotiated ``"sched"`` are plain weight-1 tenants,
+tenant's grant share tracks its declared ``weight`` (default 1,
 which for a single client is *exactly* the old FIFO order), a
 late-arriving campaign starts earning grants immediately instead of
 waiting out every earlier backlog, and a requeued crashed lease goes
@@ -63,9 +62,6 @@ from typing import Any, Callable, Coroutine
 
 from repro.dist.fairshare import FairScheduler, validate_weight
 from repro.dist.protocol import (
-    FEATURE_BATCH,
-    FEATURE_SCHED,
-    FEATURE_ZLIB,
     MSG_DONE,
     MSG_ERROR,
     MSG_GOODBYE,
@@ -88,7 +84,6 @@ from repro.dist.protocol import (
     MSG_WELCOME,
     ConnectionClosed,
     ProtocolError,
-    negotiate_features,
     pack_blob_list,
     pack_message,
     recv_message_async,
@@ -195,22 +190,18 @@ class CoordinatorStats:
 
 
 class _AioPeer:
-    """One connection: streams, negotiated features, and the bounded
-    send queue its writer task drains with frame coalescing."""
+    """One connection: streams and the bounded send queue its writer
+    task drains with frame coalescing."""
 
-    __slots__ = ("id", "name", "reader", "writer", "features", "compress",
-                 "batch", "alive", "queue", "writer_task")
+    __slots__ = ("id", "name", "reader", "writer", "alive", "queue",
+                 "writer_task")
 
     def __init__(self, peer_id: int, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, name: str,
-                 features: set[str]) -> None:
+                 writer: asyncio.StreamWriter, name: str) -> None:
         self.id = peer_id
         self.name = name
         self.reader = reader
         self.writer = writer
-        self.features = features
-        self.compress = FEATURE_ZLIB in features
-        self.batch = FEATURE_BATCH in features
         self.alive = True
         self.queue: asyncio.Queue[bytes | None] = \
             asyncio.Queue(maxsize=SEND_QUEUE_FRAMES)
@@ -223,7 +214,7 @@ class _AioPeer:
         actual teardown, exactly like the threaded broker."""
         if not self.alive:
             return False
-        frame = pack_message(header, payload, compress=self.compress)
+        frame = pack_message(header, payload)
         await self.queue.put(frame)
         return self.alive
 
@@ -233,7 +224,7 @@ class _AioPeer:
         (the status broadcaster): False when dead or backlogged."""
         if not self.alive:
             return False
-        frame = pack_message(header, payload, compress=self.compress)
+        frame = pack_message(header, payload)
         try:
             self.queue.put_nowait(frame)
         except asyncio.QueueFull:
@@ -266,9 +257,9 @@ class _AioWorker(_AioPeer):
     __slots__ = ("slots", "inflight", "last_seen", "leases_granted",
                  "lease_wait_total", "retiring")
 
-    def __init__(self, peer_id, reader, writer, name, features,
+    def __init__(self, peer_id, reader, writer, name,
                  slots: int) -> None:
-        super().__init__(peer_id, reader, writer, name, features)
+        super().__init__(peer_id, reader, writer, name)
         self.slots = max(1, slots)
         self.inflight: set[str] = set()
         self.last_seen = time.monotonic()
@@ -286,17 +277,15 @@ class _AioClient(_AioPeer):
     __slots__ = ("outstanding", "completed", "failed", "batches",
                  "subscribed", "subscribe_period", "last_push",
                  "batch_started", "batch_settled", "result_outbox",
-                 "flush_scheduled", "done_payload", "sched", "weight")
+                 "flush_scheduled", "done_payload", "weight")
 
-    def __init__(self, peer_id, reader, writer, name, features) -> None:
-        super().__init__(peer_id, reader, writer, name, features)
+    def __init__(self, peer_id, reader, writer, name) -> None:
+        super().__init__(peer_id, reader, writer, name)
         self.outstanding: set[str] = set()
         self.completed = 0
         self.failed = 0
         self.batches = 0
-        # Fair-share tenancy: weights are only honoured from clients
-        # that negotiated "sched" (old clients stay weight-1 lanes).
-        self.sched = FEATURE_SCHED in features
+        # Fair-share tenancy: the weight of the latest submit.
         self.weight = 1.0
         # Status-stream subscription (set by a "subscribe" frame).  The
         # broadcaster timer pushes "status_update" frames at
@@ -311,8 +300,8 @@ class _AioClient(_AioPeer):
         # diluted by post-completion idle time.
         self.batch_started = 0.0
         self.batch_settled = 0.0
-        # Batch-path delivery: settled results pile here until the
-        # scheduled flush ships them as one result_batch frame.  The
+        # Result delivery: settled results pile here until the
+        # scheduled flush ships them as one frame.  The
         # done frame's counters are captured at settle time (a submit
         # racing the flush must not reset them under it).
         self.result_outbox: list[tuple[dict[str, Any],
@@ -480,31 +469,26 @@ class AsyncCoordinator:
                     raise ProtocolError(f"unknown role {role!r}")
                 peer_id = next(self._peer_ids)
                 name = str(header.get("name", f"peer-{peer_id}"))
-                features = negotiate_features(header.get("features"))
             except (ConnectionClosed, ProtocolError, asyncio.TimeoutError,
                     OSError, ValueError, TypeError):
                 writer.transport.abort()
                 return
             if role == "worker":
-                worker = _AioWorker(peer_id, reader, writer, name,
-                                    features, slots)
+                worker = _AioWorker(peer_id, reader, writer, name, slots)
                 worker.writer_task = asyncio.ensure_future(
                     self._writer_loop(worker))
                 self._workers[peer_id] = worker
                 await worker.send({"type": MSG_WELCOME,
-                                   "worker_id": peer_id,
-                                   "features": sorted(features)})
+                                   "worker_id": peer_id})
                 await self._dispatch()
                 await self._worker_loop(worker)
             else:
-                client = _AioClient(peer_id, reader, writer, name,
-                                    features)
+                client = _AioClient(peer_id, reader, writer, name)
                 client.writer_task = asyncio.ensure_future(
                     self._writer_loop(client))
                 self._clients[peer_id] = client
                 await client.send({"type": MSG_WELCOME,
-                                   "client_id": peer_id,
-                                   "features": sorted(features)})
+                                   "client_id": peer_id})
                 await self._client_loop(client)
         except asyncio.CancelledError:
             writer.transport.abort()
@@ -555,7 +539,7 @@ class AsyncCoordinator:
                     worker.last_seen = time.monotonic()
                 elif kind == MSG_RESULT:
                     worker.last_seen = time.monotonic()
-                    await self._on_result(
+                    self._on_result(
                         worker, str(header["job_id"]),
                         bool(header["ok"]), header.get("error"), payload,
                         retryable=bool(header.get("retryable")),
@@ -569,7 +553,7 @@ class AsyncCoordinator:
                     if len(blobs) != len(results):
                         raise ProtocolError("result_batch length mismatch")
                     for meta, blob in zip(results, blobs):
-                        await self._on_result(
+                        self._on_result(
                             worker, str(meta["job_id"]),
                             bool(meta["ok"]), meta.get("error"), blob,
                             retryable=bool(meta.get("retryable")),
@@ -646,7 +630,7 @@ class AsyncCoordinator:
             return
         max_attempts = int(header.get("max_attempts", self.max_attempts))
         weight = 1.0
-        if client.sched and "weight" in header:
+        if "weight" in header:
             try:
                 weight = validate_weight(header["weight"])
             except ValueError as exc:
@@ -736,43 +720,35 @@ class AsyncCoordinator:
         await self._dispatch()
 
     async def _dispatch(self) -> None:
-        """Grant pending jobs and ship them: one ``job_batch`` frame
-        per worker round for ``"batch"`` peers, per-job frames
-        otherwise.  A send that finds the peer dead is resolved by the
-        peer's own teardown (which requeues)."""
+        """Grant pending jobs and ship them: one frame per worker
+        round -- ``job`` for a single grant, ``job_batch`` for more.
+        A send that finds the peer dead is resolved by the peer's own
+        teardown (which requeues)."""
         if self._stopping:
             return
         grants = self._grant_round()
         for worker, jobs in grants.items():
-            if worker.batch and len(jobs) > 1:
-                # Budget-bounded chunks: a grant round of individually
-                # relayable payloads must never aggregate into a frame
-                # pack_message rejects.
-                for chunk in split_batch(jobs,
-                                         lambda job: len(job.payload)):
-                    if len(chunk) == 1:
-                        await worker.send(
-                            {"type": MSG_JOB, "job_id": chunk[0].key,
-                             "attempt": chunk[0].attempts},
-                            chunk[0].payload)
-                        continue
-                    header = {"type": MSG_JOB_BATCH,
-                              "jobs": [{"job_id": job.key,
-                                        "attempt": job.attempts}
-                                       for job in chunk]}
+            # Budget-bounded chunks: a grant round of individually
+            # relayable payloads must never aggregate into a frame
+            # pack_message rejects.
+            for chunk in split_batch(jobs, lambda job: len(job.payload)):
+                if len(chunk) == 1:
                     await worker.send(
-                        header,
-                        pack_blob_list([job.payload for job in chunk]))
-            else:
-                for job in jobs:
-                    await worker.send({"type": MSG_JOB, "job_id": job.key,
-                                       "attempt": job.attempts},
-                                      job.payload)
+                        {"type": MSG_JOB, "job_id": chunk[0].key,
+                         "attempt": chunk[0].attempts},
+                        chunk[0].payload)
+                    continue
+                header = {"type": MSG_JOB_BATCH,
+                          "jobs": [{"job_id": job.key,
+                                    "attempt": job.attempts}
+                                   for job in chunk]}
+                await worker.send(
+                    header, pack_blob_list([job.payload for job in chunk]))
 
-    async def _on_result(self, worker: _AioWorker, key: str, ok: bool,
-                         error: str | None, payload: memoryview | None,
-                         retryable: bool = False, attempt: int = 0,
-                         trace_dropped: int = 0) -> None:
+    def _on_result(self, worker: _AioWorker, key: str, ok: bool,
+                   error: str | None, payload: memoryview | None,
+                   retryable: bool = False, attempt: int = 0,
+                   trace_dropped: int = 0) -> None:
         job = self._jobs.get(key)
         if job is None:
             # Stale: the job was settled earlier (first result won, or
@@ -794,8 +770,8 @@ class AsyncCoordinator:
                 self.stats.results_ignored += 1
                 return
             worker.inflight.discard(key)
-            await self._requeue(job, f"execution lost: {error}",
-                                exclude_worker=worker.id)
+            self._requeue(job, f"execution lost: {error}",
+                          exclude_worker=worker.id)
             return
         # Success (or a deterministic job failure): first result wins
         # regardless of which attempt produced it.
@@ -803,7 +779,7 @@ class AsyncCoordinator:
         worker.inflight.discard(key)
         if ok and trace_dropped > 0:
             self.stats.trace_dropped += trace_dropped
-        await self._deliver(job, ok, error, payload)
+        self._deliver(job, ok, error, payload)
 
     def _settle(self, job: JobRecord) -> None:
         """Remove a job from every queue/lease."""
@@ -816,19 +792,16 @@ class AsyncCoordinator:
         # A stale entry may remain in its campaign queue; the
         # scheduler's is_live predicate prunes it on the next peek.
 
-    async def _deliver(self, job: JobRecord, ok: bool, error: str | None,
-                       payload: memoryview | bytes | None) -> None:
-        """Forward one settled job to its client (+ ``done`` when that
-        client's batch is drained).  Single-threaded on the loop and
-        FIFO through the client's send queue, so the ``done`` frame can
-        never overtake the last ``result``.
-
-        ``"batch"`` clients get the outbox path instead: results pile
-        up while the reader keeps settling, and a flush task ships the
-        whole pile as one ``result_batch`` frame at the next loop turn.
-        The ``done`` payload is captured *here* (at settle time) so a
-        new submit racing the flush cannot reset the counters under
-        it."""
+    def _deliver(self, job: JobRecord, ok: bool, error: str | None,
+                 payload: memoryview | bytes | None) -> None:
+        """Queue one settled job for its client (+ ``done`` when that
+        client's batch is drained).  Results pile up in the client's
+        outbox while the reader keeps settling, and a flush task ships
+        the whole pile at the next loop turn -- FIFO through the
+        client's send queue, so the ``done`` frame can never overtake
+        the last result.  The ``done`` payload is captured *here* (at
+        settle time) so a new submit racing the flush cannot reset the
+        counters under it."""
         client = self._clients.get(job.client_id)
         if ok:
             self.stats.jobs_completed += 1
@@ -850,21 +823,12 @@ class AsyncCoordinator:
                                 "ok": ok, "attempts": job.attempts}
         if error is not None:
             meta["error"] = error
-        if client.batch:
-            client.result_outbox.append((meta, payload))
-            if not client.outstanding:
-                client.done_payload = {"type": MSG_DONE,
-                                       "completed": client.completed,
-                                       "failed": client.failed}
-            self._schedule_client_flush(client)
-            return
-        header = dict(meta)
-        header["type"] = MSG_RESULT
-        await client.send(header, payload)
+        client.result_outbox.append((meta, payload))
         if not client.outstanding:
-            await client.send({"type": MSG_DONE,
-                               "completed": client.completed,
-                               "failed": client.failed})
+            client.done_payload = {"type": MSG_DONE,
+                                   "completed": client.completed,
+                                   "failed": client.failed}
+        self._schedule_client_flush(client)
 
     def _schedule_client_flush(self, client: _AioClient) -> None:
         if client.flush_scheduled or self._loop is None:
@@ -873,8 +837,9 @@ class AsyncCoordinator:
         self._loop.create_task(self._flush_client(client))
 
     async def _flush_client(self, client: _AioClient) -> None:
-        """Ship a batch client's accumulated results (one frame) and,
-        when its batch drained, the captured ``done``."""
+        """Ship a client's accumulated results -- ``result`` for one,
+        ``result_batch`` for more -- and, when its batch drained, the
+        captured ``done``."""
         client.flush_scheduled = False
         batch = client.result_outbox
         if batch:
@@ -901,8 +866,8 @@ class AsyncCoordinator:
             client.done_payload = None
             await client.send(done)
 
-    async def _requeue(self, job: JobRecord, reason: str,
-                       exclude_worker: int | None = None) -> None:
+    def _requeue(self, job: JobRecord, reason: str,
+                 exclude_worker: int | None = None) -> None:
         """Take a lease back; deliver the failure when the job is out
         of attempts.  ``exclude_worker`` marks the worker that just
         lost the job, so the retry lands elsewhere whenever anyone
@@ -910,9 +875,9 @@ class AsyncCoordinator:
         self._leases.pop(job.key, None)
         if job.attempts >= job.max_attempts:
             del self._jobs[job.key]
-            await self._deliver(job, False,
-                                f"worker lost after {job.attempts} "
-                                f"attempt(s): {reason}", None)
+            self._deliver(job, False,
+                          f"worker lost after {job.attempts} "
+                          f"attempt(s): {reason}", None)
             return
         if exclude_worker is not None:
             job.excluded.add(exclude_worker)
@@ -930,7 +895,7 @@ class AsyncCoordinator:
             lease = self._leases.get(key)
             if lease is None or lease.worker_id != worker.id:
                 continue
-            await self._requeue(lease.job, reason)
+            self._requeue(lease.job, reason)
         worker.inflight.clear()
         worker.alive = False
         worker.close_queue()
@@ -1030,8 +995,8 @@ class AsyncCoordinator:
                 holder = self._workers.get(lease.worker_id)
                 if holder is not None:
                     holder.inflight.discard(lease.job.key)
-                await self._requeue(lease.job, "lease deadline expired",
-                                    exclude_worker=lease.worker_id)
+                self._requeue(lease.job, "lease deadline expired",
+                              exclude_worker=lease.worker_id)
             if silent or expired:
                 await self._dispatch()
 

@@ -57,7 +57,6 @@ from repro.dist.aiobroker import (
 from repro.dist.protocol import (
     DEFAULT_PORT,
     MSG_HELLO,
-    SUPPORTED_FEATURES,
     parse_address,
     send_message,
 )
@@ -257,16 +256,12 @@ class Coordinator:
 
 def connect(address: str, role: str, name: str = "",
             timeout: float = 10.0, retry_period: float = 0.1,
-            slots: int | None = None,
-            features: tuple[str, ...] | list[str] | None = None,
-            ) -> socket.socket:
-    """Dial a coordinator and complete the hello handshake, retrying
-    until ``timeout`` so freshly-forked peers can race the listener up.
-    Shared by the worker agent, the client runner and the CLI.
-
-    ``features`` advertises optional protocol extensions (see
-    ``SUPPORTED_FEATURES``); ``None`` advertises none, which every
-    coordinator accepts -- that is the uncompressed-interop path.
+            slots: int | None = None) -> socket.socket:
+    """Dial a coordinator and send the hello frame, retrying until
+    ``timeout`` so freshly-forked peers can race the listener up.
+    Shared by the worker agent, the client runner and the CLI.  Every
+    peer ships from this repository and speaks one wire dialect, so
+    the hello carries only the role, name and (for workers) slots.
     """
     host, port = parse_address(address)
     deadline = time.monotonic() + timeout
@@ -287,7 +282,5 @@ def connect(address: str, role: str, name: str = "",
     hello: dict[str, Any] = {"type": MSG_HELLO, "role": role, "name": name}
     if slots is not None:
         hello["slots"] = slots
-    if features:
-        hello["features"] = [f for f in features if f in SUPPORTED_FEATURES]
     send_message(sock, hello)
     return sock

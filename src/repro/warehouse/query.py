@@ -1,8 +1,8 @@
 """Cross-campaign queries over an ingested warehouse.
 
-Pure functions over the backend's key-sorted row streams -- no SQL in
-the query layer, so the sqlite and JSONL backends answer every query
-byte-identically by construction.
+Pure functions over the warehouse's key-sorted row streams -- no SQL
+in the query layer, so every answer is a deterministic function of the
+ingested rows, whatever order they were ingested in.
 
 Three families:
 
@@ -136,8 +136,7 @@ def query_runs(wh: Warehouse, where: dict[str, Any] | None = None,
     dict (``failover_latency_sec``, ``control_cost``, ...); runs where
     the meter is null are excluded from the stats but still counted in
     ``runs``.  Percentiles are nearest-rank.  Groups come back sorted
-    by their group-key values, so the output is deterministic and
-    backend-independent.
+    by their group-key values, so the output is deterministic.
     """
     for field in group_by:
         if field not in schema.RUN_DIMENSIONS:

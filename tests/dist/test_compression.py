@@ -1,15 +1,18 @@
-"""Compressed-frame protocol tests: the zlib flag bit, negotiation,
-and the sender/receiver interop matrix.
+"""Compressed-frame protocol tests: the zlib flag bit, the size-only
+compression rule, and the receiver's acceptance of both encodings.
 
 The load-bearing invariant is that *receivers always accept both
 forms*: the compression flag is carried per-frame in the length
-prefix, so any mix of compressing and non-compressing peers on one
-connection round-trips -- hypothesis drives random headers/payloads
-through every flag combination.  The guard tests pin the failure
+prefix, so any mix of compressed and raw frames on one connection
+round-trips -- hypothesis drives random headers/payloads through every
+encoding mix, built with test-side frame helpers so the raw and the
+deflated form of the same frame are both exercised whatever
+:func:`pack_message` would choose.  The guard tests pin the failure
 taxonomy: truncated zlib streams, zlib bombs and oversized frames are
 :class:`ProtocolError` (a broken peer), never a hang or an allocation.
 """
 
+import json
 import socket
 import struct
 import zlib
@@ -21,63 +24,75 @@ from hypothesis import strategies as st
 from repro.dist.protocol import (
     COMPRESS_FLAG,
     COMPRESS_MIN_BYTES,
-    FEATURE_BATCH,
-    FEATURE_ZLIB,
     MAX_FRAME_BYTES,
     ProtocolError,
-    negotiate_features,
     pack_message,
     recv_message,
-    send_message,
 )
+
+_LEN = struct.Struct(">I")
 
 
 def _pipe() -> tuple[socket.socket, socket.socket]:
     return socket.socketpair()
 
 
+def _body(header: dict, payload: bytes | None) -> bytes:
+    head = json.dumps(header, separators=(",", ":"),
+                      sort_keys=True).encode("utf-8")
+    return _LEN.pack(len(head)) + head + (payload or b"")
+
+
+def _raw_frame(header: dict, payload: bytes | None = None) -> bytes:
+    """The uncompressed encoding of one frame, whatever its size."""
+    body = _body(header, payload)
+    return _LEN.pack(len(body)) + body
+
+
+def _deflated_frame(header: dict, payload: bytes | None = None) -> bytes:
+    """The compressed encoding of one frame, whatever its size."""
+    body = zlib.compress(_body(header, payload))
+    return _LEN.pack(len(body) | COMPRESS_FLAG) + body
+
+
+def _flagged(frame: bytes) -> bool:
+    return bool(_LEN.unpack(frame[:4])[0] & COMPRESS_FLAG)
+
+
 # ----------------------------------------------------------------------
-# Negotiation
-# ----------------------------------------------------------------------
-def test_negotiate_features_is_the_supported_intersection():
-    assert negotiate_features([FEATURE_ZLIB, "future-thing"]) == \
-        {FEATURE_ZLIB}
-    assert negotiate_features([FEATURE_ZLIB, FEATURE_BATCH]) == \
-        {FEATURE_ZLIB, FEATURE_BATCH}
-
-
-@pytest.mark.parametrize("advertised", [None, [], ()])
-def test_old_peer_negotiates_nothing(advertised):
-    assert negotiate_features(advertised) == set()
-
-
-# ----------------------------------------------------------------------
-# The frame itself
+# The frame itself: compression is decided by size alone
 # ----------------------------------------------------------------------
 def test_large_frame_actually_compresses_on_the_wire():
     payload = b"A" * 100_000  # maximally compressible
-    raw = pack_message({"type": "result"}, payload)
-    packed = pack_message({"type": "result"}, payload, compress=True)
-    assert len(packed) < len(raw) // 10
-    assert struct.unpack(">I", packed[:4])[0] & COMPRESS_FLAG
+    packed = pack_message({"type": "result"}, payload)
+    assert len(packed) < len(_raw_frame({"type": "result"}, payload)) // 10
+    assert _flagged(packed)
 
 
-def test_small_frame_ships_raw_even_when_compression_negotiated():
-    packed = pack_message({"type": "heartbeat"}, compress=True)
-    assert not struct.unpack(">I", packed[:4])[0] & COMPRESS_FLAG
-    assert len(pack_message({"type": "heartbeat"})) == len(packed)
+def test_small_frame_ships_raw():
+    packed = pack_message({"type": "heartbeat"})
+    assert not _flagged(packed)
+    # Compressible, but one byte under the floor: still raw.
+    header = {"type": "result"}
+    floor_payload = b"A" * (COMPRESS_MIN_BYTES
+                            - len(_body(header, None)) - 1)
+    packed = pack_message(header, floor_payload)
+    assert not _flagged(packed)
+    assert len(packed) == len(_raw_frame(header, floor_payload))
+    assert _flagged(pack_message(header, floor_payload + b"A"))
 
 
 def test_incompressible_frame_ships_raw():
     import random
 
     payload = random.Random(7).randbytes(8 * COMPRESS_MIN_BYTES)
-    packed = pack_message({"type": "result"}, payload, compress=True)
-    assert not struct.unpack(">I", packed[:4])[0] & COMPRESS_FLAG
+    packed = pack_message({"type": "result"}, payload)
+    assert not _flagged(packed)
+    assert len(packed) == len(_raw_frame({"type": "result"}, payload))
 
 
 # ----------------------------------------------------------------------
-# Interop matrix (hypothesis): any sender flag mix round-trips
+# Receiver acceptance (hypothesis): any encoding mix round-trips
 # ----------------------------------------------------------------------
 _headers = st.fixed_dictionaries(
     {"type": st.sampled_from(["result", "job", "status_update"])},
@@ -97,20 +112,22 @@ _payloads = st.one_of(
     st.binary(min_size=1, max_size=64).map(lambda b: b * 200),
 )
 
+_encoders = st.sampled_from([_raw_frame, _deflated_frame, pack_message])
+
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(header=_headers, payload=_payloads,
-       sender_flags=st.lists(st.booleans(), min_size=1, max_size=4))
+       encoders=st.lists(_encoders, min_size=1, max_size=4))
 def test_any_flag_mix_roundtrips_on_one_connection(header, payload,
-                                                   sender_flags):
+                                                   encoders):
     """One connection, several frames, each independently compressed or
     not: the receiver reassembles every frame identically."""
     a, b = _pipe()
     try:
-        for flag in sender_flags:
-            send_message(a, header, payload, compress=flag)
-        for flag in sender_flags:
+        for encode in encoders:
+            a.sendall(encode(header, payload))
+        for _ in encoders:
             got_header, got_payload = recv_message(b)
             assert got_header == header
             assert got_payload == (payload or b"")
@@ -122,10 +139,12 @@ def test_any_flag_mix_roundtrips_on_one_connection(header, payload,
           suppress_health_check=[HealthCheck.too_slow])
 @given(payload=st.binary(min_size=1, max_size=32).map(lambda b: b * 300))
 def test_compressed_and_raw_encodings_parse_identically(payload):
-    """pack(compress=True) and pack() decode to the same frame."""
+    """The raw encoding, the deflated encoding and whatever
+    pack_message chose all decode to the same frame."""
     header = {"type": "result", "ok": True}
-    for packed in (pack_message(header, payload),
-                   pack_message(header, payload, compress=True)):
+    for packed in (_raw_frame(header, payload),
+                   _deflated_frame(header, payload),
+                   pack_message(header, payload)):
         a, b = _pipe()
         try:
             a.sendall(packed)
@@ -140,13 +159,12 @@ def test_compressed_and_raw_encodings_parse_identically(payload):
 # Rejection guards
 # ----------------------------------------------------------------------
 def _send_compressed_body(sock: socket.socket, body: bytes) -> None:
-    sock.sendall(struct.pack(">I", len(body) | COMPRESS_FLAG) + body)
+    sock.sendall(_LEN.pack(len(body) | COMPRESS_FLAG) + body)
 
 
 def test_truncated_zlib_stream_rejected():
-    frame = pack_message({"type": "result"}, b"x" * 4096, compress=True)
-    prefix = struct.unpack(">I", frame[:4])[0]
-    assert prefix & COMPRESS_FLAG, "test needs a compressed frame"
+    frame = pack_message({"type": "result"}, b"x" * 4096)
+    assert _flagged(frame), "test needs a compressed frame"
     body = frame[4:-10]  # drop the stream's tail
     a, b = _pipe()
     try:
@@ -212,12 +230,11 @@ def test_pack_rejects_bodies_over_the_cap(monkeypatch):
     import repro.dist.protocol as protocol
 
     monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1 << 12)
+    # Compression cannot rescue an oversized body (this one deflates to
+    # a few dozen bytes): the cap applies to the decompressed size,
+    # which is what the receiver would check.
     with pytest.raises(ProtocolError):
         pack_message({"type": "result"}, b"x" * (1 << 13))
-    # Compression cannot rescue an oversized body: the cap applies to
-    # the decompressed size, which is what the receiver would check.
-    with pytest.raises(ProtocolError):
-        pack_message({"type": "result"}, b"x" * (1 << 13), compress=True)
 
 
 def test_max_frame_is_far_below_the_flag_bit():

@@ -160,6 +160,38 @@ def test_run_records_failed_runs_and_commits_survivors(tmp_path,
     assert summarize(runs)["total_runs"] == 2
 
 
+def test_pool_child_death_reported_promptly_under_repetition(monkeypatch):
+    """Two in-process workers launch their pool children concurrently;
+    a child that dies must still be reported lost at once, every time.
+    Unserialized launches can leak one pool's child-death sentinel into
+    the other pool's child, so the death goes unseen and the job waits
+    out the 300 s lease (about one iteration in three).  Each run is
+    bounded far below the lease timeout, so a lost death fails here
+    instead of stalling."""
+    import repro.dist.runner as dist_runner_mod
+
+    monkeypatch.setattr(dist_runner_mod, "_run_record",
+                        _crash_child_on_seed1)
+    for iteration in range(12):
+        with LocalCluster(n_workers=2, processes=1,
+                          max_attempts=2) as cluster:
+            runner = cluster.runner(max_attempts=2)
+            outcome = {}
+            thread = threading.Thread(
+                target=lambda: outcome.update(
+                    result=runner.run(_grid(3, duration_sec=1.0))),
+                daemon=True)
+            thread.start()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive(), (
+                f"iteration {iteration}: a pool child's death was not "
+                f"reported; the run waited on its lease")
+            stats = cluster.coordinator.status()["stats"]
+        assert len(outcome["result"].failed) == 1, iteration
+        assert stats["jobs_failed"] == 1, (iteration, stats)
+        assert stats["jobs_requeued"] == 1, (iteration, stats)
+
+
 # ----------------------------------------------------------------------
 # Hangs and silence
 # ----------------------------------------------------------------------
